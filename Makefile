@@ -2,8 +2,7 @@
 # tier-1 test suite, the obs selftest, the fast-path A/B selftest
 # (paired error-bound check against the packet-level oracle), the
 # component-ablation selftest (leave-one-out knob sweep with exact
-# contract verification), the shard determinism selftest (serial vs
-# REPRO_SHARDS=2 exact sample equality, <10 s), the population-workload
+# contract verification), the population-workload
 # selftest (determinism, tail sanity, leak audit, <10 s), the overload
 # selftest (flash-crowd metastability contrast: retry storm with
 # protections off, bounded graceful degradation on, <10 s), then a quick
@@ -14,11 +13,10 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify test obs fastpath-ab ablations2 shard population overload \
-	perf perf-full compare experiments
+.PHONY: verify test obs fastpath-ab ablations2 population overload perf \
+	perf-full compare experiments
 
-verify: test obs fastpath-ab ablations2 shard population overload perf \
-	compare
+verify: test obs fastpath-ab ablations2 population overload perf compare
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -31,9 +29,6 @@ fastpath-ab:
 
 ablations2:
 	$(PYTHON) -m repro.experiments.ablations2 --selftest
-
-shard:
-	$(PYTHON) -m repro.experiments.sharded --selftest
 
 population:
 	$(PYTHON) -m repro.experiments.population --selftest

@@ -3,10 +3,10 @@
 Every optional subsystem this repo has grown — the hybrid-fidelity fast
 path, the control-plane snapshot cache, revocation dissemination, event
 pooling, the combine-segments memo, the proxy's circuit breakers, the
-daemon's health ranking, tracing, the sharded parallel event core,
-population revisit locality, admission control in the shared path
-services, the proxy's per-client retry budget — is registered here as a
-:class:`Component` with three declarative facts:
+daemon's health ranking, tracing, population revisit locality,
+admission control in the shared path services, the proxy's per-client
+retry budget — is registered here as a :class:`Component` with three
+declarative facts:
 
 * **its toggle** — the ``REPRO_*`` environment knob (or, for tracing,
   the ``obs=`` kwarg) that switches it, resolved by the uniform rules in
@@ -65,7 +65,6 @@ from repro.scion.health import HEALTH_RANKING_ENV
 from repro.scion.revocation import REVOCATION_ENV
 from repro.simnet.events import EVENT_POOL_ENV
 from repro.simnet.fastpath import FASTPATH_ENV, PLT_ERROR_BOUND
-from repro.simnet.shard import SHARDS_ENV
 from repro.workload.session import LOCALITY_ENV
 
 #: Contract kinds.
@@ -107,11 +106,6 @@ class Component:
             importance for components that only act under discovery-led
             recovery. Contracts are always verified without context.
         description: one line for the report.
-        on_value / off_value: what "on" and "off" *mean* for the knob.
-            Boolean knobs keep the ``True``/``False`` defaults; value
-            knobs like ``REPRO_SHARDS`` (an integer shard count, where
-            ``"1"`` is the serial default and ``"2"`` turns sharding
-            on) override them with the literal spelling to pin.
     """
 
     name: str
@@ -122,23 +116,11 @@ class Component:
     default_on: bool = True
     context: tuple[tuple[str, bool], ...] = ()
     description: str = ""
-    on_value: bool | str = True
-    off_value: bool | str = False
 
     @property
     def ablated_state(self) -> bool:
         """The non-default state the leave-one-out run pins."""
         return not self.default_on
-
-    @property
-    def default_value(self) -> bool | str:
-        """The knob spelling of the component's default state."""
-        return self.on_value if self.default_on else self.off_value
-
-    @property
-    def ablated_value(self) -> bool | str:
-        """The knob spelling the leave-one-out run pins."""
-        return self.off_value if self.default_on else self.on_value
 
 
 #: The registry: every toggleable component, in rough dependency order.
@@ -187,13 +169,6 @@ COMPONENTS: tuple[Component, ...] = (
         context=((REVOCATION_ENV, False),),
         description="observed-health demotion in daemon path ranking"),
     Component(
-        name="sharded_core", knob=SHARDS_ENV,
-        contract=BIT_IDENTICAL, battery=FIGURE3,
-        metrics=("wallclock_ms",), default_on=False,
-        on_value="2", off_value="1",
-        description="conservative-lookahead parallel event loops across "
-                    "worker processes (REPRO_SHARDS=2)"),
-    Component(
         name="population_locality", knob=LOCALITY_ENV,
         contract=BIT_IDENTICAL, battery=POPULATION,
         metrics=("daemon_hit_rate", "p99_plt_ms", "pool_wait_ms"),
@@ -224,22 +199,21 @@ def component(name: str) -> Component:
 
 
 def default_knob_states(components: tuple[Component, ...] = COMPONENTS
-                        ) -> dict[str, bool | str]:
+                        ) -> dict[str, bool]:
     """Every registered env knob pinned to its default.
 
     Both the baseline and each leave-one-out run pin *all* knobs, so
     the harness measures the registry's defaults — not whatever
-    ``REPRO_*`` happens to be set in the ambient environment. Value
-    knobs (``REPRO_SHARDS``) pin their literal default spelling.
+    ``REPRO_*`` happens to be set in the ambient environment.
     """
-    return {comp.knob: comp.default_value
+    return {comp.knob: comp.default_on
             for comp in components if comp.knob is not None}
 
 
 # -- trial functions (module-level: the worker pool pickles them) ---------
 
 
-def figure3_ablation_trial(overrides: tuple[tuple[str, bool | str], ...],
+def figure3_ablation_trial(overrides: tuple[tuple[str, bool], ...],
                            condition: str, n_resources: int, obs: bool,
                            jitter: bool, seed: int) -> tuple[float, float]:
     """One Figure 3 trial under pinned knobs.
@@ -247,10 +221,7 @@ def figure3_ablation_trial(overrides: tuple[tuple[str, bool | str], ...],
     Returns ``(plt_ms, loop_events)``. The knobs are forced *inside*
     the trial so spawned pool workers see exactly the same environment
     as a serial run, and are restored afterwards (the shared pool's
-    workers persist across batteries). Routing through
-    :func:`~repro.experiments.local_setup.figure3_trial_events` means a
-    pinned ``REPRO_SHARDS`` actually redirects the trial into the
-    sharded fleet — the sharded_core ablation measures the real thing.
+    workers persist across batteries).
     """
     from repro.experiments import local_setup
 
@@ -263,7 +234,7 @@ def figure3_ablation_trial(overrides: tuple[tuple[str, bool | str], ...],
             calibration=calibration, obs=obs)
 
 
-def resilience_ablation_trial(overrides: tuple[tuple[str, bool | str], ...],
+def resilience_ablation_trial(overrides: tuple[tuple[str, bool], ...],
                               loads: int, seed: int
                               ) -> tuple[float, float, float, float]:
     """One resilience-battery churn session under pinned knobs.
@@ -278,7 +249,7 @@ def resilience_ablation_trial(overrides: tuple[tuple[str, bool | str], ...],
         return resilience_trial(None, "opportunistic", seed, loads=loads)
 
 
-def population_ablation_trial(overrides: tuple[tuple[str, bool | str], ...],
+def population_ablation_trial(overrides: tuple[tuple[str, bool], ...],
                               users: int, sites: int, seed: int
                               ) -> tuple[float, float, float, float]:
     """One opportunistic population trial under pinned knobs.
@@ -299,7 +270,7 @@ def population_ablation_trial(overrides: tuple[tuple[str, bool | str], ...],
             sample.daemon_cache_hit_rate, sample.pool_wait_ms)
 
 
-def overload_ablation_trial(overrides: tuple[tuple[str, bool | str], ...],
+def overload_ablation_trial(overrides: tuple[tuple[str, bool], ...],
                             seed: int) -> tuple[float, float, float, float]:
     """One protections-on flash-crowd trial under pinned knobs.
 
@@ -461,7 +432,7 @@ def battery_label(battery: str, context: tuple[tuple[str, bool], ...] = ()
     return f"{battery}({pins})"
 
 
-def run_battery(battery: str, overrides: dict[str, bool | str],
+def run_battery(battery: str, overrides: dict[str, bool],
                 config: AblationConfig, obs: bool = False) -> BatteryRun:
     """Run one battery sweep under ``overrides``; deterministic samples."""
     pinned = tuple(sorted(overrides.items()))
@@ -576,7 +547,7 @@ def rank_score(comp: Component,
 # -- contracts -------------------------------------------------------------
 
 
-def _contract_probe(overrides: dict[str, bool | str], config: AblationConfig,
+def _contract_probe(overrides: dict[str, bool], config: AblationConfig,
                     obs: bool, jitter: bool) -> tuple:
     """The small fault-free Figure 3 slice contracts are stated on."""
     pinned = tuple(sorted(overrides.items()))
@@ -602,7 +573,7 @@ def verify_contract(comp: Component, config: AblationConfig,
     """
     overrides = default_knob_states()
     if comp.knob is not None:
-        overrides[comp.knob] = comp.ablated_value
+        overrides[comp.knob] = comp.ablated_state
     obs = comp.knob is None and comp.ablated_state
     if comp.contract == BIT_IDENTICAL:
         probe = _contract_probe(overrides, config, obs, jitter=True)
@@ -727,22 +698,6 @@ def _evidence_circuit_breaker() -> str:
     return "proxy.breakers inert (stores/blocks nothing) with knob off"
 
 
-def _evidence_sharded_core() -> str:
-    from repro.experiments.local_setup import figure3_trial_events
-    from repro.simnet import shard
-
-    with forced_many({SHARDS_ENV: "2"}):
-        sharded = figure3_trial_events("SCION-only", 4242, n_resources=4)
-    workers = shard.active_worker_count()
-    with forced_many({SHARDS_ENV: "1"}):
-        serial = figure3_trial_events("SCION-only", 4242, n_resources=4)
-    assert workers > 0, "no live worker fleet after a sharded trial"
-    assert sharded == serial, \
-        f"sharded sample {sharded} != serial {serial}"
-    return (f"{workers} worker process(es) served the sharded probe, "
-            f"samples identical to serial")
-
-
 def _evidence_population_locality() -> str:
     from repro.workload.catalog import default_catalog
     from repro.workload.session import SessionConfig, plan_session
@@ -827,7 +782,6 @@ EVIDENCE_PROBES = {
     "revocation": _evidence_revocation,
     "circuit_breaker": _evidence_circuit_breaker,
     "health_ranking": _evidence_health_ranking,
-    "sharded_core": _evidence_sharded_core,
     "population_locality": _evidence_population_locality,
     "admission_control": _evidence_admission_control,
     "retry_budget": _evidence_retry_budget,
@@ -1004,7 +958,7 @@ def run_ablations(config: AblationConfig | None = None,
             overrides = dict(defaults)
             overrides.update(dict(comp.context))
             if comp.knob is not None:
-                overrides[comp.knob] = comp.ablated_value
+                overrides[comp.knob] = comp.ablated_state
             obs = comp.knob is None and comp.ablated_state
             off_run = run_battery(comp.battery, overrides, config, obs=obs)
             base_run = report.baselines[battery_label(comp.battery,

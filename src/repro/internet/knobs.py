@@ -71,8 +71,8 @@ def int_knob(name: str, default: int = 1, minimum: int = 1) -> int:
 
     Unset, empty, or any of :data:`FALSE_SPELLINGS` means ``default``;
     a non-integer value raises ``ValueError`` (a typo'd width knob must
-    fail loudly, not silently run serial). Values are clamped to
-    ``minimum`` — the count knobs (``REPRO_SHARDS``) treat anything
+    fail loudly, not silently fall back to the default). Values are
+    clamped to ``minimum`` — ``REPRO_POPULATION_USERS`` treats anything
     below 1 as 1.
     """
     raw = os.environ.get(name)
@@ -91,9 +91,9 @@ def resolve_int_knob(name: str, override: int | None = None,
                      default: int = 1, minimum: int = 1) -> int:
     """Resolve an integer knob: explicit override, then environment.
 
-    The count twin of :func:`resolve_knob` — ``Internet(shards=4)``
-    beats ``REPRO_SHARDS=2``, and with no override the environment
-    (then ``default``) decides.
+    The count twin of :func:`resolve_knob` — ``resolve_users(200)``
+    beats ``REPRO_POPULATION_USERS=50``, and with no override the
+    environment (then ``default``) decides.
     """
     if override is not None:
         return max(minimum, int(override))
@@ -104,8 +104,8 @@ def _spell(value: "bool | str | int") -> str:
     """The environment spelling of a pinned knob value.
 
     Booleans keep the historical ``"1"``/``"0"`` spellings; strings and
-    integers (the value-carrying knobs like ``REPRO_SHARDS=2``) pin
-    verbatim.
+    integers (``"0"``, or a count like ``REPRO_POPULATION_USERS=50``)
+    pin verbatim.
     """
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -132,7 +132,7 @@ def forced_many(overrides: "Mapping[str, bool | str | int]"
     """Pin several knobs at once (the ablation harness's toggle set).
 
     Values may be booleans (``"1"``/``"0"``) or literal strings/ints
-    for value-carrying knobs (``{"REPRO_SHARDS": "2"}``). Restores
+    (``{"REPRO_ADMISSION": "0"}``). Restores
     every variable to its previous state on exit, even when the block
     raises — a failed off-run must not poison later runs.
     """

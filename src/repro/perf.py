@@ -23,12 +23,6 @@ A set of fixed workloads quantifies the simulator's speed:
 * **ablation sweep** — wall-clock of the component-ablation selftest
   (``repro.experiments.ablations2``), guarding the ``make verify``
   gate's runtime;
-* **sharded core** — per-trial latency of the genuinely-partitioned
-  remote testbed executed serially vs. across a two-shard worker fleet
-  (``repro.simnet.shard``), recording the conservative-lookahead
-  protocol's overhead (1-core containers) or speedup (multi-core
-  hosts) plus per-shard event throughput; full runs only — the fleet
-  spawn is not worth a quick smoke check's budget;
 * **population workload** — wall-clock users/sec of one
   opportunistic-SCION population trial (``repro.workload`` session
   plans over the remote testbed) plus its simulated p99 PLT, guarding
@@ -474,85 +468,7 @@ def measure_ablation() -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Workload 8 — sharded parallel event core
-# ---------------------------------------------------------------------------
-
-
-def measure_sharded(trials: int = 6, n_resources: int = 9,
-                    shards: int = 2, base_seed: int = 500,
-                    repeats: int = 3) -> dict[str, Any]:
-    """Per-trial latency of a remote-testbed trial, serial vs. sharded.
-
-    The serial arm runs the seven-AS world on one event loop; the
-    sharded arm partitions it across ``shards`` worker processes under
-    the conservative-lookahead protocol. The fleet is spawned and
-    warmed before timing (``shard_spawn_s`` records that one-off cost),
-    so ``sharded_trial_ms`` reflects steady-state throughput — the
-    number the trajectory guards, taken as the best of ``repeats``
-    passes (IPC round trips make a single pass especially
-    scheduler-noisy). On a single-core container the sharded arm pays
-    batching + IPC overhead; on multi-core hosts the shards genuinely
-    overlap and ``shard_speedup`` exceeds 1. A second sharded pass over
-    the same seeds must be bit-identical (run-to-run shard determinism;
-    serial-vs-sharded exactness is the selftest's jitter-free job, not
-    this jittered one's).
-    """
-    from repro.experiments.remote_setup import FAR_ORIGIN, remote_trial
-    from repro.experiments.sharded import sharded_trial_outcome
-    from repro.simnet.shard import close_all_runners
-
-    condition = "single origin / SCION"
-    seeds = range(base_seed, base_seed + trials)
-
-    started = time.perf_counter()
-    serial = [remote_trial(FAR_ORIGIN, condition, seed,
-                           n_resources=n_resources, shards=1)
-              for seed in seeds]
-    serial_s = time.perf_counter() - started
-
-    def sharded_pass() -> tuple[list[float], float, float]:
-        events = 0.0
-        samples: list[float] = []
-        started = time.perf_counter()
-        for seed in seeds:
-            outcome = sharded_trial_outcome(
-                "remote", seed, shards=shards, primary=FAR_ORIGIN,
-                condition=condition, n_resources=n_resources)
-            samples.append(outcome.results["plt_ms"])
-            events += outcome.events_total
-        return samples, time.perf_counter() - started, events
-
-    started = time.perf_counter()
-    sharded_trial_outcome("remote", base_seed, shards=shards,
-                          primary=FAR_ORIGIN, condition=condition,
-                          n_resources=n_resources)  # warm-up: spawns fleet
-    spawn_s = time.perf_counter() - started
-    first_samples, first_s, events = sharded_pass()
-    second_samples, second_s, _ = sharded_pass()
-    sharded_s = min(first_s, second_s)
-    for _ in range(max(2, repeats) - 2):
-        _, elapsed, _ = sharded_pass()
-        sharded_s = min(sharded_s, elapsed)
-    close_all_runners()
-    del serial  # jittered serial samples are timing-only here
-    return {
-        "workload": f"sharded/{trials}x{n_resources}",
-        "trials": trials,
-        "n_resources": n_resources,
-        "shard_count": shards,
-        "serial_trial_ms": round(serial_s / trials * 1000.0, 2),
-        "sharded_trial_ms": round(sharded_s / trials * 1000.0, 2),
-        "shard_spawn_s": round(spawn_s, 3),
-        "shard_speedup": round(serial_s / sharded_s, 2) if sharded_s
-        else 0.0,
-        "shard_events_per_sec": round(events / sharded_s / shards, 1)
-        if sharded_s else 0.0,
-        "identical": first_samples == second_samples,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Workload 9 — population-scale traffic generation
+# Workload 8 — population-scale traffic generation
 # ---------------------------------------------------------------------------
 
 
@@ -596,7 +512,7 @@ def measure_population(users: int = 60, sites: int = 20,
 
 
 # ---------------------------------------------------------------------------
-# Workload 10 — overload / graceful degradation
+# Workload 9 — overload / graceful degradation
 # ---------------------------------------------------------------------------
 
 
@@ -672,10 +588,6 @@ COMPARE_METRICS = (
     # Absent in pre-ablation-harness rows: wall-clock of the ablation
     # selftest sweep (the make-verify CI gate).
     ("ablate_selftest_ms", False),
-    # Absent in pre-sharding rows: steady-state per-trial latency of
-    # the two-shard remote battery (full runs only).
-    ("sharded_trial_ms", False),
-    ("shard_events_per_sec", True),
     # Absent in pre-population rows: the workload engine's throughput
     # and the simulated tail it reports.
     ("population_users_per_sec", True),
@@ -891,15 +803,6 @@ def render(rows: list[dict[str, Any]]) -> str:
             parts.append(f"max_err {row['fastpath_max_rel_err_pct']:.4f}%"
                          + ("" if row["within_bound"]
                             else " EXCEEDS BOUND"))
-        if "sharded_trial_ms" in row:
-            parts.append(f"serial {row['serial_trial_ms']:.1f} ms/trial")
-            parts.append(f"sharded({row['shard_count']}) "
-                         f"{row['sharded_trial_ms']:.1f} ms/trial")
-            parts.append(f"speedup {row['shard_speedup']:.2f}x")
-            parts.append(f"{row['shard_events_per_sec']:,.0f} ev/s/shard")
-            parts.append(f"spawn {row['shard_spawn_s']:.2f}s")
-            parts.append("deterministic" if row["identical"]
-                         else "NON-DETERMINISTIC")
         if "population_users_per_sec" in row:
             parts.append(f"{row['population_users_per_sec']:,.1f} users/s")
             parts.append(f"p99 {row['population_p99_plt_ms']:,.1f} "
@@ -935,7 +838,6 @@ def run_suite(quick: bool = False,
         tracing = measure_tracing(trials=4, n_resources=6)
         resilience = measure_resilience(trials=2)
         fastpath = measure_fastpath(trials=4, n_resources=6)
-        sharded = None  # fleet spawn blows the <30 s smoke budget
         population = measure_population(users=16, sites=10)
     else:
         throughput = measure_event_throughput()
@@ -944,7 +846,6 @@ def run_suite(quick: bool = False,
         tracing = measure_tracing()
         resilience = measure_resilience()
         fastpath = measure_fastpath()
-        sharded = measure_sharded()
         population = measure_population()
     # The ablation sweep and the overload trial are CI-gate-sized
     # workloads either way.
@@ -956,8 +857,6 @@ def run_suite(quick: bool = False,
     rows = [{**context, **throughput}, {**context, **battery},
             {**context, **cache}, {**context, **tracing},
             {**context, **resilience}, {**context, **fastpath}]
-    if sharded is not None:
-        rows.append({**context, **sharded})
     rows.append({**context, **population})
     rows.append({**context, **overload})
     rows.append({**context, **ablation})

@@ -16,7 +16,6 @@ such processes, which keeps their state machines readable.
 from __future__ import annotations
 
 import heapq
-import math
 from collections import deque
 from collections.abc import Callable, Generator
 from typing import Any
@@ -554,41 +553,16 @@ class EventLoop:
         finally:
             self._events_processed += processed
 
-    # -- horizon bookkeeping (sharded execution) ----------------------------
-
-    def next_event_time(self) -> float:
-        """Timestamp of the earliest pending (non-cancelled) event.
-
-        ``math.inf`` when the queue is drained. Cancelled entries at the
-        top of the heap are discarded lazily here, so a cancelled
-        far-future timer does not stretch a shard's reported horizon —
-        the conservative-lookahead coordinator (see
-        :mod:`repro.simnet.shard`) grants simulation windows from this
-        value and an inflated horizon would stall every neighbor shard.
-        """
-        queue = self._queue
-        cancelled = self._cancelled
-        while queue:
-            when, seq = queue[0][0], queue[0][1]
-            if cancelled and seq in cancelled:
-                heapq.heappop(queue)
-                cancelled.discard(seq)
-                continue
-            return when
-        return math.inf
-
     def run_before(self, horizon: float,
                    max_events: int = 10_000_000) -> float:
         """Process events strictly *before* ``horizon`` (exclusive).
 
-        The sharded engine's window primitive: a conservative grant of
-        ``horizon`` promises that no cross-shard packet can arrive with
-        ``arrival < horizon``, so events ``< horizon`` are safe to run —
-        but events *at* ``horizon`` may race an arrival at exactly that
-        time and must wait for the next grant. Unlike :meth:`run`, the
-        clock is never fabricated forward to ``horizon``: it stays at the
-        last executed event so late-inserted arrivals ``>= horizon``
-        always schedule into the future. Returns the current time.
+        Events scheduled exactly at ``horizon`` stay queued for a later
+        run. Unlike :meth:`run`, the clock is never moved forward to
+        ``horizon``: it stays at the last executed event, so events
+        scheduled afterwards at ``>= horizon`` still land in the future.
+        ``run_before(math.inf)`` drains the queue like ``run()``.
+        Returns the current time.
         """
         queue = self._queue
         pop = heapq.heappop

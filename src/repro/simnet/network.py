@@ -84,19 +84,6 @@ class Network:
         self.links.append(link)
         return link
 
-    def attach_stub(self, link: Link, local: Node, ifid: int) -> Link:
-        """Register a single-ended link (a cross-shard egress stub).
-
-        The far endpoint lives in another shard's process, so only the
-        local node gets a port; the link still joins ``links`` (fault
-        targeting, counters) and inherits the watcher hook like every
-        :meth:`connect`-built link.
-        """
-        link.watcher = self.link_watcher
-        local.attach_port(ifid, link)
-        self.links.append(link)
-        return link
-
     # -- running ---------------------------------------------------------------
 
     def run(self, until: float | None = None) -> float:

@@ -8,7 +8,7 @@ from repro.experiments import ablations2 as ab
 EXPECTED_NAMES = {
     "fastpath", "snapshot_cache", "event_pooling", "combine_memo",
     "tracing", "revocation", "circuit_breaker", "health_ranking",
-    "sharded_core", "population_locality", "admission_control",
+    "population_locality", "admission_control",
     "retry_budget",
 }
 
@@ -53,15 +53,6 @@ class TestRegistry:
         assert ab.component("tracing").ablated_state is True
         assert ab.component("fastpath").ablated_state is False
 
-    def test_sharded_core_is_a_value_knob(self):
-        """REPRO_SHARDS carries a width, not a boolean: the default is
-        the serial engine ("1") and ablating *widens* it ("2")."""
-        comp = ab.component("sharded_core")
-        assert comp.default_value == "1"
-        assert comp.ablated_value == "2"
-        assert ab.component("fastpath").default_value is True
-        assert ab.component("fastpath").ablated_value is False
-
     def test_failure_components_pin_revocation_off(self):
         """With dissemination on, failures never reach the proxy; the
         breaker and health ranking measure under discovery-led
@@ -79,9 +70,7 @@ class TestDefaultKnobStates:
     def test_covers_every_env_knob(self):
         states = ab.default_knob_states()
         assert len(states) == len(EXPECTED_NAMES) - 1  # tracing: no knob
-        assert states[ab.SHARDS_ENV] == "1"  # value knob: serial default
-        assert all(value is True for name, value in states.items()
-                   if name != ab.SHARDS_ENV)  # boolean knobs default on
+        assert all(value is True for value in states.values())
 
     def test_respects_a_subset(self):
         subset = (ab.component("fastpath"), ab.component("tracing"))

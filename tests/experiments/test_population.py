@@ -1,28 +1,18 @@
-"""Population battery: determinism (serial, pooled, sharded), metric
-sanity, and the leak audit.
+"""Population battery: determinism (serial, pooled), metric sanity,
+and the leak audit.
 
 The contract this file pins: a population trial is a pure function of
 ``(mode, seed, users, sites, arrival, session)`` — the same city
-replays bit-for-bit whether it runs serially, fanned out over a worker
-pool, or partitioned across a shard fleet (fast path off; with it on,
-cross-shard routes legitimately run packet-level).
+replays bit-for-bit whether it runs serially or fanned out over a
+worker pool.
 """
 
 import pytest
 
 from repro.experiments import population as pop
-from repro.internet.knobs import forced
-from repro.simnet import shard
-from repro.simnet.fastpath import FASTPATH_ENV
 from repro.workload import ArrivalCurve
 
 FAST = ArrivalCurve(window_ms=2_000.0)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _teardown_fleets():
-    yield
-    shard.close_all_runners()
 
 
 class TestDeterminism:
@@ -48,21 +38,6 @@ class TestDeterminism:
         serial = pop.run_population(workers=1, **kwargs)
         parallel = pop.run_population(workers=4, **kwargs)
         assert serial.samples == parallel.samples
-
-    def test_serial_equals_sharded_with_fastpath_off(self):
-        """REPRO_SHARDS=2 partitions the world; with the fast path off
-        (no cross-shard fidelity demotion) every sample field must
-        match the serial run exactly, and the shard-side leak audit
-        must come back clean (a leak raises ShardError)."""
-        from repro.experiments.sharded import sharded_population_trial
-
-        with forced(FASTPATH_ENV, False):
-            serial = pop.population_trial("opportunistic-SCION", 953,
-                                          users=10, sites=8, arrival=FAST)
-            sharded = sharded_population_trial("opportunistic-SCION", 953,
-                                               shards=2, users=10, sites=8,
-                                               arrival=FAST)
-        assert serial == sharded
 
 
 class TestMetrics:

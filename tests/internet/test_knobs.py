@@ -6,12 +6,16 @@ new component cannot quietly accept a different dialect.
 """
 
 import os
+import pathlib
+import re
 
 import pytest
 
 from repro.internet import knobs
 
 KNOB = "REPRO_TEST_KNOB"
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 class TestSpellings:
@@ -136,3 +140,19 @@ class TestRefactoredSitesShareTheRule:
         monkeypatch.setenv(SNAPSHOT_CACHE_ENV, raw)
         assert cache_enabled() is False
         assert cache_enabled(True) is True
+
+
+class TestReadmeKnobTable:
+    def test_every_documented_knob_is_defined(self):
+        """A knob deleted from the code cannot linger in README's
+        "Runtime knobs" table: each row must name a ``*_ENV`` constant
+        defined somewhere under ``src/repro``."""
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("## Runtime knobs", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^\| `(REPRO_[A-Z_]+)", section, re.MULTILINE)
+        defined = set()
+        for path in (ROOT / "src" / "repro").rglob("*.py"):
+            defined.update(re.findall(r'^\w+_ENV = "(REPRO_[A-Z_]+)"',
+                                      path.read_text(), re.MULTILINE))
+        assert documented, "no knob rows found in README 'Runtime knobs'"
+        assert sorted(set(documented) - defined) == []

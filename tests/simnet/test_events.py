@@ -1,5 +1,7 @@
 """Event loop, processes, and synchronization primitives."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -113,6 +115,37 @@ class TestCancellation:
         timeout.cancel()
         loop.run()
         assert timeout.triggered
+
+
+class TestRunBefore:
+    """The horizon-bounded drain ``EventLoop.run_before``."""
+
+    def test_exclusive_horizon(self, loop):
+        fired = []
+        for at in (1.0, 2.0, 3.0):
+            loop.call_at(at, fired.append, at)
+        loop.run_before(3.0)
+        assert fired == [1.0, 2.0]
+        loop.run()  # the event *at* the horizon stayed queued
+        assert fired == [1.0, 2.0, 3.0]
+
+    def test_clock_is_not_moved_to_the_horizon(self, loop):
+        loop.call_at(2.0, lambda: None)
+        assert loop.run_before(10.0) == 2.0
+        assert loop.now == 2.0  # the last executed event, not 10.0
+        assert EventLoop().run_before(100.0) == 0.0  # empty loop
+
+    def test_run_before_infinity_drains_like_run(self):
+        def counts(drain):
+            loop = EventLoop()
+            fired = []
+            loop.call_at(1.0, lambda: loop.call_at(5.0, fired.append, 5.0))
+            loop.call_at(2.0, fired.append, 2.0)
+            drain(loop)
+            return fired, loop.events_processed, loop.now
+
+        assert counts(lambda lp: lp.run()) == \
+            counts(lambda lp: lp.run_before(math.inf))
 
 
 class TestEvent:
