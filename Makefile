@@ -9,12 +9,19 @@
 # perf smoke run (appends a row to BENCH_results.json), then the trajectory
 # compare, which exits non-zero if any headline metric regressed more
 # than 10 % against the previous full-size run.
+#
+# `make bench` runs the repository benchmark (perfbench/, see its
+# README): every workload untraced at seeds 1 and 7919, then the traced
+# `city` run whose gate cross-checks per-layer counts. About 3 minutes.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify test obs fastpath-ab ablations2 population overload perf \
-	perf-full compare experiments
+	perf-full compare experiments bench
+
+BENCH_WORKLOADS := city figure3-sweep flash-crowd
+BENCH_SEEDS := 1 7919
 
 verify: test obs fastpath-ab ablations2 population overload perf compare
 
@@ -47,3 +54,12 @@ compare:
 
 experiments:
 	$(PYTHON) -m repro.experiments.run_all
+
+bench:
+	@set -e; for workload in $(BENCH_WORKLOADS); do \
+		for seed in $(BENCH_SEEDS); do \
+			python3 perfbench/run.py --workload $$workload --seed $$seed \
+				--trace 0; \
+		done; \
+	done
+	python3 perfbench/run.py --workload city --seed 1 --trace 1

@@ -4,22 +4,33 @@ One :class:`AsRouter` per AS forwards both kinds of traffic:
 
 * **SCION** packets carry their path in the header; the router checks
   that the current hop names this AS, verifies the hop field's MAC with
-  the AS's forwarding key (dropping forgeries), and forwards out the hop's
-  egress interface — the router holds *no* per-destination state, which is
-  SCION's defining data-plane property,
-* **IP** packets are forwarded by longest... by exact-match destination-AS
-  lookup in the BGP-derived forwarding table.
+  the AS's forwarding key (dropping forgeries), drops packets whose hop
+  field has expired, and forwards out the hop's egress interface — the
+  router holds *no* per-destination state, which is SCION's defining
+  data-plane property,
+* **IP** packets are forwarded by exact-match lookup of the destination
+  AS in the BGP-derived forwarding table.
 
 Transit crossings (external interface in, external interface out) are
 charged the AS's internal latency so the data plane matches the latency
 metadata the control plane advertises.
+
+Modelling choice: real border routers recompute the hop-field MAC on
+every packet. Here each router memoizes the hop fields it has verified,
+keyed by ``(path timestamp, hop field)``, and stores the hop's expiry
+time. The MAC is a pure function of the AS's forwarding key, the
+timestamp and the hop field, and no simulated delay depends on computing
+it, so the memo changes wall-clock cost only, never simulated output.
+Forgeries are never memoized: each one is recomputed, counted and
+dropped. Expiry is compared against the clock on every packet.
 """
 
 from __future__ import annotations
 
 from repro.crypto.mac import verify_hop_mac
 from repro.errors import VerificationError
-from repro.scion.path import ScionPath
+from repro.scion.beacon import HopField
+from repro.scion.path import EXP_TIME_UNIT_S, ScionPath
 from repro.simnet.node import Node
 from repro.simnet.packet import Packet
 from repro.topology.isd_as import IsdAs
@@ -39,6 +50,9 @@ class AsRouter(Node):
         self.forwarding_key = forwarding_key
         self.internal_latency_ms = internal_latency_ms
         self.verify_macs = verify_macs
+        # (path timestamp, hop field) -> hop expiry (ms) for hop fields
+        # whose MAC verified (every field seen, with verify_macs off).
+        self._verified: dict[tuple[int, HopField], float] = {}
         #: interface ids that lead to other ASes (from the topology).
         self.external_ifids: set[int] = set()
         #: local host name -> host-facing interface id.
@@ -85,10 +99,13 @@ class AsRouter(Node):
             if hop.isd_as != self.isd_as:
                 self.path_errors += 1
                 return
-            if self.verify_macs and not self._mac_ok(path, hop_index):
-                self.mac_failures += 1
-                return
-            if self._hop_expired(path, hop_index):
+            expiry_ms = self._verified.get((path.timestamp, hop.hop_field))
+            if expiry_ms is None:
+                expiry_ms = self._verify_hop(path, hop.hop_field)
+                if expiry_ms is None:
+                    self.mac_failures += 1
+                    return
+            if self.loop.now >= expiry_ms:
                 self.expired_drops += 1
                 return
             if hop.egress != 0:
@@ -104,25 +121,26 @@ class AsRouter(Node):
             self._deliver_local(packet, transit=False)
             return
 
-    def _hop_expired(self, path: ScionPath, hop_index: int) -> bool:
-        """Enforce the hop field's relative expiration (SCION routers
-        drop packets on expired paths)."""
-        from repro.scion.path import EXP_TIME_UNIT_S
-        hop_field = path.hops[hop_index].hop_field
+    def _verify_hop(self, path: ScionPath,
+                    hop_field: HopField) -> float | None:
+        """Verify one hop field's MAC and memoize its expiry (ms).
+
+        Returns ``None`` for a forgery, which is not memoized. The expiry
+        is SCION's relative encoding:
+        ``timestamp + (exp_time + 1) × 337.5 s``.
+        """
+        if self.verify_macs:
+            try:
+                verify_hop_mac(self.forwarding_key, path.timestamp,
+                               hop_field.exp_time, hop_field.ingress,
+                               hop_field.egress, hop_field.mac,
+                               hop_field.chain)
+            except VerificationError:
+                return None
         expiry_ms = (path.timestamp
                      + (hop_field.exp_time + 1) * EXP_TIME_UNIT_S) * 1000.0
-        assert self.loop is not None
-        return self.loop.now >= expiry_ms
-
-    def _mac_ok(self, path: ScionPath, hop_index: int) -> bool:
-        hop_field = path.hops[hop_index].hop_field
-        try:
-            verify_hop_mac(self.forwarding_key, path.timestamp,
-                           hop_field.exp_time, hop_field.ingress,
-                           hop_field.egress, hop_field.mac, hop_field.chain)
-        except VerificationError:
-            return False
-        return True
+        self._verified[(path.timestamp, hop_field)] = expiry_ms
+        return expiry_ms
 
     # -- legacy IP -----------------------------------------------------------------
 

@@ -214,13 +214,15 @@ class Link:
         self.packets_sent += 1
         self.bytes_sent += packet.size
         self.inflight += 1
-        self._record("send", packet)
+        if self.trace is not None:
+            self.trace.record(self.loop.now, self.name, "send", packet)
         packet.hops += 1
         self.loop.call_at(arrival, self._deliver, receiver, receiver_port, packet)
 
     def _deliver(self, receiver: "Node", port: int, packet: Packet) -> None:
         self.inflight -= 1
-        self._record("recv", packet)
+        if self.trace is not None:
+            self.trace.record(self.loop.now, self.name, "recv", packet)
         receiver.receive(packet, port)
 
     def _record(self, event: str, packet: Packet) -> None:
