@@ -39,7 +39,7 @@ IP_HEADER_BYTES = 20
 EPHEMERAL_PORT_BASE = 32768
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Datagram:
     """A UDP datagram as seen by sockets.
 

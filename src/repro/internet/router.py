@@ -28,7 +28,7 @@ dropped. Expiry is compared against the clock on every packet.
 from __future__ import annotations
 
 from repro.crypto.mac import verify_hop_mac
-from repro.errors import VerificationError
+from repro.errors import SimulationError, VerificationError
 from repro.scion.beacon import HopField
 from repro.scion.path import EXP_TIME_UNIT_S, ScionPath
 from repro.simnet.node import Node
@@ -80,23 +80,29 @@ class AsRouter(Node):
             self._forward_scion(packet, ifid)
         elif packet.protocol == "ip":
             self._forward_ip(packet, ifid)
-        # unknown protocols are dropped silently (counted by base class)
+        # unknown protocols are dropped silently (counted in
+        # packets_received above, like every arrival)
 
     # -- SCION ------------------------------------------------------------------
 
     def _forward_scion(self, packet: Packet, in_ifid: int) -> None:
-        path: ScionPath | None = packet.meta.get("path")
+        meta = packet.meta
+        path: ScionPath | None = meta.get("path")
         if path is None:
             # Intra-AS SCION traffic: deliver directly to the local host.
             self._deliver_local(packet, transit=False)
             return
-        hop_index = packet.meta.get("hop_index", 0)
+        hop_index = meta.get("hop_index", 0)
+        hops = path.hops
+        # Hops usually hold the very IsdAs object this router was built
+        # with, so identity settles most comparisons without __eq__.
+        isd_as = self.isd_as
         while True:
-            if hop_index >= len(path.hops):
+            if hop_index >= len(hops):
                 self.path_errors += 1
                 return
-            hop = path.hops[hop_index]
-            if hop.isd_as != self.isd_as:
+            hop = hops[hop_index]
+            if hop.isd_as is not isd_as and hop.isd_as != isd_as:
                 self.path_errors += 1
                 return
             expiry_ms = self._verified.get((path.timestamp, hop.hop_field))
@@ -109,13 +115,14 @@ class AsRouter(Node):
                 self.expired_drops += 1
                 return
             if hop.egress != 0:
-                packet.meta["hop_index"] = hop_index + 1
-                transit = in_ifid in self.external_ifids
-                self._send_delayed(packet, hop.egress, transit=transit)
+                meta["hop_index"] = hop_index + 1
+                self._send_delayed(packet, hop.egress,
+                                   in_ifid in self.external_ifids)
                 return
             next_index = hop_index + 1
-            if (next_index < len(path.hops)
-                    and path.hops[next_index].isd_as == self.isd_as):
+            if next_index < len(hops) and (
+                    hops[next_index].isd_as is isd_as
+                    or hops[next_index].isd_as == isd_as):
                 hop_index = next_index  # segment crossover, keep processing
                 continue
             self._deliver_local(packet, transit=False)
@@ -166,6 +173,12 @@ class AsRouter(Node):
         self._send_delayed(packet, ifid, transit=transit)
 
     def _send_delayed(self, packet: Packet, ifid: int, transit: bool) -> None:
-        delay = self.internal_latency_ms if transit else PROCESSING_DELAY_MS
-        assert self.loop is not None
-        self.loop.call_later(delay, self.send, packet, ifid)
+        """Schedule the departure out of ``ifid`` after the crossing's
+        delay. The departure event is the egress link's ``transmit``
+        itself; no :meth:`Node.send` hop in between."""
+        port = self.ports.get(ifid)
+        if port is None:
+            raise SimulationError(f"{self.name}: no port {ifid}")
+        self.loop.call_later(
+            self.internal_latency_ms if transit else PROCESSING_DELAY_MS,
+            port.link.transmit, packet, self.name)

@@ -634,7 +634,11 @@ def compare_runs(rows: list[dict[str, Any]], label: str = "full",
     metrics: a metric absent from every baseline run is reported as
     ``"new"`` and one absent only from the current run as ``"gone"`` —
     neither is a regression, so a PR that adds or retires a workload
-    does not wedge the gate. A metric that is *present* but not
+    does not wedge the gate. Only runs with the current run's
+    ``cpu_count`` form the baseline: timings from a machine with a
+    different core count measure the machine, not the code. With no
+    such run, every metric of the current run is ``"new"``. A metric
+    that is *present* but not
     comparable — non-numeric or zero in every baseline run, or
     non-numeric in the current one — is reported as an ``"error"`` row
     instead of being silently dropped: a workload that started writing
@@ -644,7 +648,9 @@ def compare_runs(rows: list[dict[str, Any]], label: str = "full",
     if len(runs) < 2:
         return None
     current = runs[-1]
-    baseline_runs = runs[max(0, len(runs) - 1 - window):-1]
+    comparable = [run for run in runs[:-1]
+                  if run.get("cpu_count") == current.get("cpu_count")]
+    baseline_runs = comparable[-window:]
     metrics: list[dict[str, Any]] = []
     for name, higher_is_better in COMPARE_METRICS:
         history = [run[name] for run in baseline_runs if name in run]
@@ -693,7 +699,8 @@ def compare_runs(rows: list[dict[str, Any]], label: str = "full",
             "regression": regressed,
         })
     return {
-        "baseline_ts": baseline_runs[-1].get("ts"),
+        "baseline_ts": baseline_runs[-1].get("ts") if baseline_runs
+        else None,
         "baseline_runs": len(baseline_runs),
         "current_ts": current.get("ts"),
         "metrics": metrics,
@@ -706,10 +713,11 @@ def render_comparison(report: dict[str, Any]) -> str:
     n_runs = report.get("baseline_runs", 1)
     baseline_label = (f"median of {n_runs} runs through" if n_runs > 1
                       else "run")
+    baseline = (f"baseline {baseline_label} {report['baseline_ts']}"
+                if n_runs else "no baseline run with this cpu_count")
     lines = [
         "== repro.perf --compare ==",
-        f"baseline {baseline_label} {report['baseline_ts']}  ->  "
-        f"current {report['current_ts']}",
+        f"{baseline}  ->  current {report['current_ts']}",
     ]
     for metric in report["metrics"]:
         direction = "higher=better" if metric["higher_is_better"] \

@@ -46,7 +46,7 @@ class ServerHello:
     conn_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StreamFrame:
     """A reliability-engine frame scoped to one stream."""
 

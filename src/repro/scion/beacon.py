@@ -97,6 +97,23 @@ class HopField:
     mac: bytes
     chain: bytes = b""
 
+    # Routers key their verified-hop memo on hop fields, so every packet
+    # hashes one. The hash is computed once, at construction, and kept
+    # outside the dataclass fields: equality, repr and serialize() never
+    # see it. ``bytes`` hashes are salted per process, so pickling
+    # rebuilds the hop field through __init__ instead of carrying the
+    # cached value into another process.
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(
+            (self.ingress, self.egress, self.exp_time, self.mac, self.chain)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (self.ingress, self.egress, self.exp_time,
+                             self.mac, self.chain))
+
     def serialize(self) -> str:
         """Canonical text form included in the signed payload."""
         return (f"hf({self.ingress};{self.egress};{self.exp_time};"

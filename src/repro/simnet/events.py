@@ -333,14 +333,17 @@ class EventLoop:
     order) order.
     """
 
-    __slots__ = ("_now", "_sequence", "_queue", "_events_processed",
+    __slots__ = ("now", "_sequence", "_queue", "_events_processed",
                  "_cancelled", "_event_pool", "_timeout_pool", "_pooling")
 
     #: Per-pool cap; beyond this, retired events are left to the GC.
     POOL_LIMIT = 256
 
     def __init__(self, pooling: bool | None = None) -> None:
-        self._now = 0.0
+        #: Current simulated time in milliseconds. A plain attribute, not
+        #: a property: every packet hop reads it, and only the loop's run
+        #: methods may write it.
+        self.now = 0.0
         self._sequence = 0
         self._queue: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._events_processed = 0
@@ -354,11 +357,6 @@ class EventLoop:
             from repro.internet.knobs import knob
             pooling = knob(EVENT_POOL_ENV, default=True)
         self._pooling = bool(pooling)
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
 
     @property
     def pooling(self) -> bool:
@@ -382,7 +380,7 @@ class EventLoop:
             raise SimulationError(f"cannot schedule {delay} ms in the past")
         handle = self._sequence
         heapq.heappush(self._queue,
-                       (self._now + delay, handle, callback, args))
+                       (self.now + delay, handle, callback, args))
         self._sequence += 1
         return handle
 
@@ -391,9 +389,9 @@ class EventLoop:
 
         Returns a handle accepted by :meth:`cancel_scheduled`.
         """
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule at {when} ms, already at {self._now} ms")
+                f"cannot schedule at {when} ms, already at {self.now} ms")
         handle = self._sequence
         heapq.heappush(self._queue, (when, handle, callback, args))
         self._sequence += 1
@@ -416,7 +414,7 @@ class EventLoop:
         same-time entries."""
         # Scheduling at `now` can never be in the past, so this skips
         # call_at's guard — it is the single hottest call in a simulation.
-        heapq.heappush(self._queue, (self._now, self._sequence, callback, args))
+        heapq.heappush(self._queue, (self.now, self._sequence, callback, args))
         self._sequence += 1
 
     # -- coroutine layer ----------------------------------------------------
@@ -523,14 +521,14 @@ class EventLoop:
                     if cancelled and seq in cancelled:
                         cancelled.discard(seq)
                         continue  # invisible: must not advance the clock
-                    self._now = when
+                    self.now = when
                     callback(*args)
                     processed += 1
                     if processed > max_events:
                         raise SimulationError(
                             f"exceeded {max_events} events; "
                             f"runaway simulation?")
-                return self._now
+                return self.now
             while queue:
                 when, seq, callback, args = pop(queue)
                 if cancelled and seq in cancelled:
@@ -539,17 +537,17 @@ class EventLoop:
                 if when > until:
                     # Past the deadline: put it back for the next run.
                     heapq.heappush(queue, (when, seq, callback, args))
-                    self._now = until
-                    return self._now
-                self._now = when
+                    self.now = until
+                    return self.now
+                self.now = when
                 callback(*args)
                 processed += 1
                 if processed > max_events:
                     raise SimulationError(
                         f"exceeded {max_events} events; runaway simulation?")
-            if until > self._now:
-                self._now = until
-            return self._now
+            if until > self.now:
+                self.now = until
+            return self.now
         finally:
             self._events_processed += processed
 
@@ -578,14 +576,14 @@ class EventLoop:
                 if when >= horizon:
                     break
                 pop(queue)
-                self._now = when
+                self.now = when
                 callback(*args)
                 processed += 1
                 if processed > max_events:
                     raise SimulationError(
                         f"exceeded {max_events} events; "
                         f"runaway simulation?")
-            return self._now
+            return self.now
         finally:
             self._events_processed += processed
 

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.simnet.packet import DEFAULT_MTU, Packet
-from repro.units import transmission_delay_ms
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.events import EventLoop
@@ -193,7 +192,8 @@ class Link:
             self.packets_dropped += 1
             self._record("drop-down", packet)
             return
-        if packet.size > cfg.mtu:
+        size = packet.size
+        if size > cfg.mtu:
             self.packets_dropped += 1
             self._record("drop-mtu", packet)
             return
@@ -203,21 +203,27 @@ class Link:
             self._record("drop-loss", packet)
             return
 
-        serialization = transmission_delay_ms(packet.size, cfg.bandwidth_mbps)
-        start = max(self.loop.now, self._tx_free_at[sender_name])
-        tx_done = start + serialization
+        # Serialization starts once the transmitter is free; its delay is
+        # units.transmission_delay_ms, inlined (this runs once per hop).
+        loop = self.loop
+        now = loop.now
+        tx_done = self._tx_free_at[sender_name]
+        if tx_done < now:
+            tx_done = now
+        if cfg.bandwidth_mbps > 0:
+            tx_done += size / (cfg.bandwidth_mbps * 125.0)
         self._tx_free_at[sender_name] = tx_done
         jitter_bound = cfg.jitter_ms + self._extra_jitter_ms
         jitter = self.rng.uniform(0.0, jitter_bound) if jitter_bound > 0 else 0.0
         arrival = tx_done + cfg.latency_ms + self._extra_latency_ms + jitter
 
         self.packets_sent += 1
-        self.bytes_sent += packet.size
+        self.bytes_sent += size
         self.inflight += 1
         if self.trace is not None:
-            self.trace.record(self.loop.now, self.name, "send", packet)
+            self.trace.record(now, self.name, "send", packet)
         packet.hops += 1
-        self.loop.call_at(arrival, self._deliver, receiver, receiver_port, packet)
+        loop.call_at(arrival, self._deliver, receiver, receiver_port, packet)
 
     def _deliver(self, receiver: "Node", port: int, packet: Packet) -> None:
         self.inflight -= 1

@@ -34,7 +34,6 @@ class Node:
         self.loop: "EventLoop | None" = None  # set by Network.add_node
         self.ports: dict[int, Port] = {}
         self.packets_received = 0
-        self.packets_sent = 0
 
     # -- wiring (called by Network) ------------------------------------------
 
@@ -64,7 +63,6 @@ class Node:
             raise SimulationError(f"{self.name}: no port {ifid}")
         if self.loop is None:
             raise SimulationError(f"{self.name}: node not added to a network")
-        self.packets_sent += 1
         port.link.transmit(packet, self.name)
 
     def receive(self, packet: Packet, ifid: int) -> None:

@@ -39,7 +39,7 @@ MAX_RTO_MS = 10_000.0
 MAX_SEGMENT_RETRIES = 12
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Segment:
     """One wire segment of an application message.
 
@@ -53,7 +53,7 @@ class Segment:
     payload: Any = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AckFrame:
     """Cumulative acknowledgement: all seqs below ``cumulative`` arrived."""
 

@@ -63,13 +63,14 @@ class TestWorkloads:
 
 
 def _run_rows(ts, events=1000.0, coroutine=500.0, serial=10.0,
-              parallel=2.0, label="full"):
+              parallel=2.0, label="full", cpu_count=None):
     """Synthetic throughput + battery rows of one ``run_suite`` run."""
+    machine = {} if cpu_count is None else {"cpu_count": cpu_count}
     return [
         {"ts": ts, "label": label, "events_per_sec": events,
-         "coroutine_events_per_sec": coroutine},
+         "coroutine_events_per_sec": coroutine, **machine},
         {"ts": ts, "label": label, "serial_s": serial,
-         "parallel_s": parallel},
+         "parallel_s": parallel, **machine},
     ]
 
 
@@ -132,6 +133,34 @@ class TestCompareRuns:
                       if m["metric"] == "events_per_sec")
         assert events["baseline"] == 1000.0
         assert report["regressions"] == []
+
+    def test_baseline_only_counts_runs_with_the_same_cpu_count(self):
+        """A 1-CPU container's runs are not the baseline of a 2-CPU run,
+        however recent: the median comes from the matching runs only."""
+        rows = (_run_rows("t1", cpu_count=2)
+                + _run_rows("t2", events=2000.0, serial=5.0, cpu_count=1)
+                + _run_rows("t3", events=2000.0, serial=5.0, cpu_count=1)
+                + _run_rows("t4", cpu_count=2))
+        report = perf.compare_runs(rows)
+        assert report["baseline_ts"] == "t1"
+        assert report["baseline_runs"] == 1
+        assert report["regressions"] == []
+        events = next(m for m in report["metrics"]
+                      if m["metric"] == "events_per_sec")
+        assert events["baseline"] == 1000.0
+
+    def test_no_run_with_the_same_cpu_count_reports_new(self):
+        rows = (_run_rows("t1", events=5000.0, cpu_count=1)
+                + _run_rows("t2", cpu_count=2))
+        report = perf.compare_runs(rows)
+        assert report["baseline_runs"] == 0
+        assert report["baseline_ts"] is None
+        assert report["regressions"] == []
+        assert {m["status"] for m in report["metrics"]} == {"new"}
+        assert len(report["metrics"]) == 4
+        text = perf.render_comparison(report)
+        assert "no baseline run with this cpu_count" in text
+        assert "no regressions" in text
 
     def test_improvements_are_never_regressions(self):
         rows = _run_rows("t1") + _run_rows("t2", events=5000.0,
