@@ -92,10 +92,14 @@ class Internet:
         self.core_ases: set[IsdAs] = set(self.snapshot.core_ases)
 
         self.routers: dict[IsdAs, AsRouter] = {}
+        # Routers share the IsdAs objects of the snapshot's topology with
+        # every path hop, so the per-hop AS check is an identity test.
+        snapshot_ases = {info.isd_as: info.isd_as
+                         for info in self.pki.topology.ases()}
         for info in topology.ases():
             router = AsRouter(
                 name=router_name(info.isd_as),
-                isd_as=info.isd_as,
+                isd_as=snapshot_ases[info.isd_as],
                 forwarding_key=self.pki.forwarding_key(info.isd_as),
                 internal_latency_ms=info.internal_latency_ms,
                 verify_macs=verify_macs,

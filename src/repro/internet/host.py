@@ -181,39 +181,21 @@ class Host(Node):
         """Wrap a datagram in the requested network layer and transmit."""
         self.datagrams_sent += 1
         if datagram.via == "scion":
-            self._send_scion(datagram)
+            path = datagram.path
+            if path is None and datagram.dst.isd_as != self.addr.isd_as:
+                raise TransportError(f"SCION send to remote AS "
+                                     f"{datagram.dst.isd_as} needs a path")
+            header = path.header_bytes() if path is not None else 24
+            meta = {"path": path, "hop_index": 0}
         elif datagram.via == "ip":
-            self._send_ip(datagram)
+            header, meta = IP_HEADER_BYTES, {}
         else:
             raise AddressError(f"unknown via {datagram.via!r}")
-
-    def _send_scion(self, datagram: Datagram) -> None:
-        path = datagram.path
-        if path is None and datagram.dst.isd_as != self.addr.isd_as:
-            raise TransportError(
-                f"SCION send to remote AS {datagram.dst.isd_as} needs a path")
-        header = path.header_bytes() if path is not None else 24
-        packet = Packet(
-            src=self.addr,
-            dst=datagram.dst,
-            payload=datagram,
-            size=datagram.size + UDP_HEADER_BYTES + header,
-            protocol="scion",
-            meta={"path": path, "hop_index": 0},
-            created_at=self.loop.now if self.loop else 0.0,
-        )
-        self.send(packet, self.ROUTER_IFID)
-
-    def _send_ip(self, datagram: Datagram) -> None:
-        packet = Packet(
-            src=self.addr,
-            dst=datagram.dst,
-            payload=datagram,
-            size=datagram.size + UDP_HEADER_BYTES + IP_HEADER_BYTES,
-            protocol="ip",
-            created_at=self.loop.now if self.loop else 0.0,
-        )
-        self.send(packet, self.ROUTER_IFID)
+        self.send(Packet(src=self.addr, dst=datagram.dst, payload=datagram,
+                         size=datagram.size + UDP_HEADER_BYTES + header,
+                         protocol=datagram.via, meta=meta,
+                         created_at=self.loop.now if self.loop else 0.0),
+                  self.ROUTER_IFID)
 
     def receive(self, packet: Packet, ifid: int) -> None:
         """Dispatch an arriving packet to the bound socket."""

@@ -94,9 +94,7 @@ class AsRouter(Node):
             return
         hop_index = meta.get("hop_index", 0)
         hops = path.hops
-        # Hops usually hold the very IsdAs object this router was built
-        # with, so identity settles most comparisons without __eq__.
-        isd_as = self.isd_as
+        isd_as = self.isd_as  # the hops' own object: `is` settles most checks
         while True:
             if hop_index >= len(hops):
                 self.path_errors += 1
@@ -173,9 +171,7 @@ class AsRouter(Node):
         self._send_delayed(packet, ifid, transit=transit)
 
     def _send_delayed(self, packet: Packet, ifid: int, transit: bool) -> None:
-        """Schedule the departure out of ``ifid`` after the crossing's
-        delay. The departure event is the egress link's ``transmit``
-        itself; no :meth:`Node.send` hop in between."""
+        # The departure event is the egress link's transmit itself.
         port = self.ports.get(ifid)
         if port is None:
             raise SimulationError(f"{self.name}: no port {ifid}")

@@ -635,10 +635,8 @@ def compare_runs(rows: list[dict[str, Any]], label: str = "full",
     ``"new"`` and one absent only from the current run as ``"gone"`` —
     neither is a regression, so a PR that adds or retires a workload
     does not wedge the gate. Only runs with the current run's
-    ``cpu_count`` form the baseline: timings from a machine with a
-    different core count measure the machine, not the code. With no
-    such run, every metric of the current run is ``"new"``. A metric
-    that is *present* but not
+    ``cpu_count`` form the baseline (with none, every metric is
+    ``"new"``). A metric that is *present* but not
     comparable — non-numeric or zero in every baseline run, or
     non-numeric in the current one — is reported as an ``"error"`` row
     instead of being silently dropped: a workload that started writing

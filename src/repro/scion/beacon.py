@@ -16,7 +16,7 @@ accumulate information during construction"). Each entry carries:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.topology.graph import AsInfo, InterAsLink
 from repro.topology.isd_as import IsdAs
@@ -97,12 +97,10 @@ class HopField:
     mac: bytes
     chain: bytes = b""
 
-    # Routers key their verified-hop memo on hop fields, so every packet
-    # hashes one. The hash is computed once, at construction, and kept
-    # outside the dataclass fields: equality, repr and serialize() never
-    # see it. ``bytes`` hashes are salted per process, so pickling
-    # rebuilds the hop field through __init__ instead of carrying the
-    # cached value into another process.
+    # Every packet hashes a hop field (the routers' verified-hop memo),
+    # so the hash is computed once and kept outside the fields: eq, repr
+    # and serialize() never see it. ``bytes`` hashes are salted per
+    # process, so pickling rebuilds the hop field instead of copying it.
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash(
             (self.ingress, self.egress, self.exp_time, self.mac, self.chain)))
@@ -147,16 +145,3 @@ class AsEntry:
         return (f"e({self.isd_as};{self.ingress_ifid};{self.egress_ifid};"
                 f"{self.as_mtu};{self.hop_field.serialize()};"
                 f"{self.static_info.serialize()};{self.signature:x})")
-
-
-@dataclass
-class BeaconCandidate:
-    """A beacon in flight during propagation, before it becomes a stored
-    segment. Tracks cumulative latency for k-best pruning."""
-
-    entries: list[AsEntry] = field(default_factory=list)
-    cumulative_latency_ms: float = 0.0
-
-    def traversed(self) -> set[IsdAs]:
-        """ASes already on the beacon (loop prevention)."""
-        return {entry.isd_as for entry in self.entries}

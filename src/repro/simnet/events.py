@@ -340,9 +340,8 @@ class EventLoop:
     POOL_LIMIT = 256
 
     def __init__(self, pooling: bool | None = None) -> None:
-        #: Current simulated time in milliseconds. A plain attribute, not
-        #: a property: every packet hop reads it, and only the loop's run
-        #: methods may write it.
+        #: Current simulated time (ms). A plain attribute, read on every
+        #: packet hop; only the loop's run methods write it.
         self.now = 0.0
         self._sequence = 0
         self._queue: list[tuple[float, int, Callable[..., None], tuple]] = []

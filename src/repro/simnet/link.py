@@ -86,7 +86,6 @@ class Link:
         #: fast path (see :mod:`repro.simnet.fastpath`) subscribes here to
         #: revoke analytic eligibility the instant a fault hook fires.
         self.watcher = None
-        self._endpoints = {a.name: (a, a_port), b.name: (b, b_port)}
         # Receiver per sender, precomputed: transmit() runs per packet and
         # must not search the endpoint table each time.
         self._peer_of = {a.name: (b, b_port), b.name: (a, a_port)}
@@ -203,14 +202,10 @@ class Link:
             self._record("drop-loss", packet)
             return
 
-        # Serialization starts once the transmitter is free; its delay is
-        # units.transmission_delay_ms, inlined (this runs once per hop).
         loop = self.loop
         now = loop.now
-        tx_done = self._tx_free_at[sender_name]
-        if tx_done < now:
-            tx_done = now
-        if cfg.bandwidth_mbps > 0:
+        tx_done = max(now, self._tx_free_at[sender_name])
+        if cfg.bandwidth_mbps > 0:  # units.transmission_delay_ms, inlined
             tx_done += size / (cfg.bandwidth_mbps * 125.0)
         self._tx_free_at[sender_name] = tx_done
         jitter_bound = cfg.jitter_ms + self._extra_jitter_ms
