@@ -883,9 +883,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="print results without touching "
                              "BENCH_results.json")
     parser.add_argument("--compare", action="store_true",
-                        help="diff the two latest full runs in the "
-                             "trajectory file instead of benchmarking; "
-                             "exit 1 on a >10%% regression")
+                        help="diff the latest full run against earlier "
+                             "runs with its cpu_count instead of "
+                             "benchmarking; exit 1 on a >10%% regression")
     args = parser.parse_args(argv)
 
     if args.compare:
